@@ -81,6 +81,21 @@ func (b *breaker) failure() (opened bool) {
 	return opened
 }
 
+// neutral records a leg that proves nothing about the shard: the
+// statement's deadline or cancellation ended it before the shard
+// answered. The failure streak is left alone, and a half-open probe
+// releases its slot with the breaker held open for another cooldown —
+// a black-holed shard must neither close the breaker nor wedge it with
+// a probe slot that is never released.
+func (b *breaker) neutral() {
+	b.mu.Lock()
+	if b.probing {
+		b.probing = false
+		b.openUntil = time.Now().Add(b.cooldown)
+	}
+	b.mu.Unlock()
+}
+
 // open reports whether the breaker currently rejects legs.
 func (b *breaker) open() bool {
 	b.mu.Lock()

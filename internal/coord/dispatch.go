@@ -231,13 +231,16 @@ func (c *Coordinator) leg(ctx context.Context, s *shard, stmt string, execRoute 
 		return legResult{shard: s, res: res}
 	}
 	mLegErrs.Inc()
-	if legDown(err) && ctx.Err() == nil {
+	switch {
+	case ctx.Err() != nil || errors.Is(err, client.ErrTimeout) || errors.Is(err, client.ErrCanceled):
+		s.brk.neutral() // the statement's budget ran out, not the shard
+	case legDown(err):
 		if s.brk.failure() {
 			mBreakerTrip.Inc()
 			coordLog.WarnContext(ctx, "shard breaker opened",
 				"shard", s.name, "error", err.Error())
 		}
-	} else if !legDown(err) {
+	default:
 		s.brk.success() // the shard answered; the statement failed
 	}
 	return legResult{shard: s, err: err}

@@ -133,26 +133,14 @@ func predKey(p sql.Predicate) string {
 	return b.String()
 }
 
-// runBatchGroup executes one formed group: singletons take the
-// standard solo path (byte-identity by construction), larger groups
-// run the shared-scan executor. Every member gets its result (or its
-// own error) delivered individually; a member's trace gains a
-// "batch-group" child span attributing formation and gate waits while
-// keeping its own trace ID.
+// runBatchGroup executes one formed group as one shared-scan pass (a
+// singleton is a group of one, i.e. a solo run). Every member gets its
+// result (or its own error) delivered individually; a member's trace
+// gains a "batch-group" child span attributing formation and gate
+// waits while keeping its own trace ID.
 func (e *Engine) runBatchGroup(gctx context.Context, g *batch.Group) {
 	members := g.Members()
 	if len(members) == 0 {
-		return
-	}
-	if len(members) == 1 {
-		m := members[0]
-		it := m.Payload.(*batchItem)
-		ctx := m.Ctx
-		if ctx == nil {
-			ctx = gctx
-		}
-		res, err := e.runTraced(ctx, it.table, it.ph, it.opts)
-		m.Deliver(res, err)
 		return
 	}
 	it0 := members[0].Payload.(*batchItem)

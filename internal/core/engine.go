@@ -450,14 +450,6 @@ func (e *Engine) Exec(ctx context.Context, src string) (*exec.Result, error) {
 	return e.Query(ctx, src, QueryOptions{})
 }
 
-// ExecString executes one SQL statement without a context.
-//
-// Deprecated: use Exec(ctx, src) or Query(ctx, src, opts); this shim
-// exists for pre-context callers and runs with context.Background().
-func (e *Engine) ExecString(src string) (*exec.Result, error) {
-	return e.Exec(context.Background(), src)
-}
-
 // Query is Exec with per-statement options (timeout, parallelism
 // override, trace). All statement errors are classified by the
 // taxonomy in errors.go.

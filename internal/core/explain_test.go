@@ -51,7 +51,7 @@ func TestExplainAnalyzeMultiSegment(t *testing.T) {
 	txt := explainText(t, e, fmt.Sprintf(
 		"EXPLAIN ANALYZE SELECT id FROM images WHERE score > 0.1 ORDER BY L2Distance(embedding, %s) LIMIT 5",
 		vecLit(ds.Queries.Row(0))))
-	for _, want := range []string{"plan: ", "executed:", "query  (", "scan  (", "segment ", "cache: column hits="} {
+	for _, want := range []string{"plan: ", "executed:", "query  (", "prune  (", "scan  (", "segment ", "assemble  (", "cache: column hits="} {
 		if !strings.Contains(txt, want) {
 			t.Fatalf("EXPLAIN ANALYZE missing %q:\n%s", want, txt)
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -17,7 +18,6 @@ import (
 	"blendhouse/internal/plan"
 	"blendhouse/internal/storage"
 	"blendhouse/internal/vec"
-	"blendhouse/internal/wal"
 )
 
 // Execution metrics (SHOW METRICS / the -debug-addr endpoint). The
@@ -56,8 +56,8 @@ type Executor struct {
 	// Stats, when non-nil, accumulates observed per-segment scan
 	// latency and predicate selectivity — the live inputs of the
 	// batched-vs-solo decision (plan.ChooseBatch). Fed by every scan,
-	// solo and shared alike, so the averages stay fresh regardless of
-	// which path the scheduler picks.
+	// so the averages stay fresh regardless of which path the
+	// scheduler picks.
 	Stats *obs.ScanStats
 
 	localIdx sync.Map // segment name -> index.Index
@@ -98,6 +98,21 @@ type hit struct {
 	dist   float32
 }
 
+// GroupQuery is one member of a shared-scan group.
+type GroupQuery struct {
+	// Ctx is the member's own context (cancellation/deadline). nil means
+	// the group context governs the member.
+	Ctx  context.Context
+	Plan *plan.Physical
+	Opts RunOptions
+}
+
+// GroupResult is one member's outcome, positionally matching the input.
+type GroupResult struct {
+	Res *Result
+	Err error
+}
+
 // Run executes a physical plan under ctx: a fired deadline or cancel
 // stops remaining segment scans, widening rounds and in-flight remote
 // reads promptly, returning the context's error.
@@ -105,172 +120,388 @@ func (e *Executor) Run(ctx context.Context, ph *plan.Physical) (*Result, error) 
 	return e.RunWith(ctx, ph, RunOptions{})
 }
 
-// RunTraced is Run with a span tree and cache tallies recorded on tr
-// when non-nil (the execution half of EXPLAIN ANALYZE). A nil trace
-// makes every instrumentation call a no-op: no allocations, no locks,
-// so untraced bench numbers are unaffected.
-func (e *Executor) RunTraced(ctx context.Context, ph *plan.Physical, tr *obs.Trace) (*Result, error) {
-	return e.RunWith(ctx, ph, RunOptions{Trace: tr})
+// RunWith executes a physical plan with explicit per-run options, as
+// a group of one. Results are deterministic: any parallelism degree
+// returns exactly the rows (and ordering) of sequential execution.
+func (e *Executor) RunWith(ctx context.Context, ph *plan.Physical, opts RunOptions) (*Result, error) {
+	r := e.RunGroup(ctx, []GroupQuery{{Ctx: ctx, Plan: ph, Opts: opts}})[0]
+	return r.Res, r.Err
 }
 
-// RunWith executes a physical plan with explicit per-run options.
-// Results are deterministic: any parallelism degree returns exactly
-// the rows (and ordering) of sequential execution.
-func (e *Executor) RunWith(ctx context.Context, ph *plan.Physical, opts RunOptions) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// RunGroup executes a group of plans in one shared per-segment pass;
+// a solo query is a group of one. The pass walks each segment once —
+// one delete bitmap, one predicate bitset, one index load, one
+// vector-column read — and services every member's query vector
+// against that shared state with the member's own top-k heap, so each
+// member gets exactly the result it would get alone. Members that
+// cannot share a pass run as separate groups of one (see splits).
+//
+// Isolation: one member's context firing or its search failing never
+// poisons the group. Shared-step failures (storage, compile) fan out to
+// every member, preferring a member's own context error when both
+// fired.
+func (e *Executor) RunGroup(gctx context.Context, qs []GroupQuery) []GroupResult {
+	if len(qs) == 0 {
+		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if gctx == nil {
+		gctx = context.Background()
 	}
-	tr := opts.Trace
-	par := e.parallelism(opts.MaxParallelism)
-	lg := ph.Logical
-	root := tr.Span()
+	if e.splits(qs) {
+		out := make([]GroupResult, 0, len(qs))
+		for i := range qs {
+			out = append(out, e.RunGroup(gctx, qs[i:i+1])...)
+		}
+		return out
+	}
+	return e.runPass(gctx, qs)
+}
+
+// splits reports whether the members cannot share one pass: VW scatter
+// and semantic pruning (which prunes and widens per query vector) never
+// share, and a shared pass needs one strategy, vector column, metric,
+// range-kind and predicate set. Deep predicate equality is the
+// caller's contract (the batching key).
+func (e *Executor) splits(qs []GroupQuery) bool {
+	ph0 := qs[0].Plan
+	for _, q := range qs[1:] {
+		lg, lg0 := q.Plan.Logical, ph0.Logical
+		if e.VW != nil || e.SemanticFraction != 0 ||
+			q.Plan.Strategy != ph0.Strategy ||
+			lg0.Distance == nil || lg.Distance == nil ||
+			lg.VectorColumn != lg0.VectorColumn ||
+			lg.Metric != lg0.Metric ||
+			(lg.Range == nil) != (lg0.Range == nil) ||
+			len(lg.ScalarPreds) != len(lg0.ScalarPreds) {
+			return true
+		}
+	}
+	return false
+}
+
+// member is one query of a pass: its plan, context, per-member search
+// parameters, hits and outcome.
+type member struct {
+	ctx    context.Context
+	lg     *plan.Logical
+	k      int // top-k (LIMIT, default 100)
+	keep   int // hits kept through scan and merge: k, or a range query's LIMIT (0 = all)
+	params index.SearchParams
+	radius float32  // range radius in internal distance space
+	mem    []hit    // memtable hits
+	hits   []hit    // segment hits, then the merged result
+	cols   []string // output columns
+	res    *Result
+	err    error // guarded by pass.mu
+}
+
+// pass is one shared per-segment execution of a group.
+type pass struct {
+	e *Executor
+	// ctx and tr are the context and trace every member shares — a
+	// group of one runs under its own — else the group context,
+	// untraced.
+	ctx      context.Context
+	tr       *obs.Trace
+	root     *obs.Span
+	par      int
+	lg       *plan.Logical // the shared shape: member 0's plan
+	strategy plan.Strategy
+	preds    []compiledPred
+	view     lsm.QueryView
+
+	mu sync.Mutex
+	ms []member
+}
+
+func (e *Executor) runPass(gctx context.Context, qs []GroupQuery) []GroupResult {
+	ctxOf := func(q GroupQuery) context.Context {
+		if q.Ctx != nil {
+			return q.Ctx
+		}
+		return gctx
+	}
+	p := &pass{
+		e: e, ctx: ctxOf(qs[0]), tr: qs[0].Opts.Trace,
+		lg: qs[0].Plan.Logical, strategy: qs[0].Plan.Strategy,
+		ms: make([]member, len(qs)),
+	}
+	for i, q := range qs {
+		mb := &p.ms[i]
+		lg := q.Plan.Logical
+		mb.ctx, mb.lg = ctxOf(q), lg
+		if mb.ctx != p.ctx {
+			p.ctx = gctx
+		}
+		if q.Opts.Trace != p.tr {
+			p.tr = nil
+		}
+		p.par = max(p.par, e.parallelism(q.Opts.MaxParallelism))
+		mb.err = mb.ctx.Err()
+		mb.k = lg.K
+		if mb.k <= 0 {
+			mb.k = 100
+		}
+		mb.keep = mb.k
+		if lg.Range != nil {
+			mb.keep = lg.K
+			mb.radius = internalRadius(lg)
+		}
+		mb.params = lg.Params.WithDefaults(mb.k)
+	}
+	p.root = p.tr.Span()
 	// Traced queries carry a retry tally through the context: every
 	// storage retry charged to this query surfaces as a root-span
 	// attribute in EXPLAIN ANALYZE, alongside the circuit breaker's
 	// state when the store has one.
-	if tr != nil {
+	if p.tr != nil {
 		tally := &storage.RetryTally{}
-		ctx = storage.WithRetryTally(ctx, tally)
 		// An IO tally rides along too: the segment read paths feed it,
 		// and it materializes as a "storage" span so the trace attributes
 		// tail latency to remote blob reads (summed across parallel
 		// workers) without instrumenting every store implementation.
 		io := &storage.IOTally{}
-		ctx = storage.WithIOTally(ctx, io)
+		p.ctx = storage.WithIOTally(storage.WithRetryTally(p.ctx, tally), io)
 		defer func() {
-			root.SetInt("store_retries", tally.Retries())
+			p.root.SetInt("store_retries", tally.Retries())
 			if br, ok := e.Table.Store().(storage.BreakerReporter); ok {
-				root.Set("store_breaker", br.BreakerState().String())
+				p.root.Set("store_breaker", br.BreakerState().String())
 			}
 			if reads, bytes, dur := io.Values(); reads > 0 {
-				sp := root.ChildDur("storage", dur)
+				sp := p.root.ChildDur("storage", dur)
 				sp.SetInt("reads", reads)
 				sp.SetInt("bytes", bytes)
 			}
 		}()
 	}
-	preds, err := compilePredicates(e.Table.Schema(), lg.ScalarPreds)
+	preds, err := compilePredicates(e.Table.Schema(), p.lg.ScalarPreds)
 	if err != nil {
-		return nil, err
+		return p.results(err)
 	}
+	p.preds = preds
 	// One consistent view of segments + memtable snapshots for the
-	// whole query: a concurrent memtable flush can't duplicate or drop
-	// rows mid-execution.
-	view := e.Table.View()
-	if !lg.IsVectorQuery() {
-		return e.runScalar(ctx, lg, preds, par, view, tr)
+	// whole pass: a concurrent memtable flush can't duplicate or drop
+	// rows mid-execution, and every member sees the same data.
+	p.view = e.Table.View()
+	if p.lg.IsVectorQuery() {
+		err = p.runVector()
+	} else {
+		p.runScalar()
 	}
-	// Defense in depth: the planner validates query dimension on every
-	// SQL path, but plans can also be constructed directly. A mismatch
-	// here would otherwise surface as a slice-bounds panic deep inside
-	// the distance kernels.
-	if err := e.checkVectorDim(lg); err != nil {
-		return nil, err
+	if err == nil {
+		err = p.assemble()
 	}
-	mVecQueries.Inc()
-	switch ph.Strategy {
-	case plan.BruteForce:
-		mPlanBrute.Inc()
-	case plan.PreFilter:
-		mPlanPre.Inc()
-	case plan.PostFilter:
-		mPlanPost.Inc()
-	}
-	k := lg.K
-	if k <= 0 {
-		k = 100
-	}
-	params := lg.Params.WithDefaults(k)
+	return p.results(err)
+}
 
-	runStrategy := func(metas []*storage.SegmentMeta, sp *obs.Span) ([]hit, error) {
-		switch ph.Strategy {
-		case plan.BruteForce:
-			return e.runBruteForce(ctx, lg, preds, metas, k, par, sp, tr)
-		case plan.PreFilter:
-			return e.runPreFilter(ctx, lg, preds, metas, k, par, params, sp, tr)
-		case plan.PostFilter:
-			return e.runPostFilter(ctx, lg, preds, metas, k, par, params, sp, tr)
+// results delivers every member's outcome: its own error first, then
+// the shared failure (as the member's context error when that fired
+// too), else its result.
+func (p *pass) results(shared error) []GroupResult {
+	out := make([]GroupResult, len(p.ms))
+	for i := range p.ms {
+		mb := &p.ms[i]
+		switch {
+		case mb.err != nil:
+			out[i].Err = mb.err
+		case shared != nil:
+			out[i].Err = shared
+			if cerr := mb.ctx.Err(); cerr != nil {
+				out[i].Err = cerr
+			}
 		default:
-			return nil, fmt.Errorf("exec: unknown strategy %v", ph.Strategy)
+			out[i].Res = mb.res
 		}
+	}
+	return out
+}
+
+// check gates member i's share of the work: a fired member context
+// records the member's own error and skips its remaining shares.
+func (p *pass) check(i int) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	mb := &p.ms[i]
+	if mb.err == nil {
+		mb.err = mb.ctx.Err()
+	}
+	return mb.err == nil
+}
+
+// fail records a failure of member i alone.
+func (p *pass) fail(i int, err error) {
+	p.mu.Lock()
+	if p.ms[i].err == nil {
+		p.ms[i].err = err
+	}
+	p.mu.Unlock()
+}
+
+// anyLive reports whether some member still wants results.
+func (p *pass) anyLive() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := range p.ms {
+		if p.ms[i].err == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// runVector brute-forces the memtable snapshots, prunes segments, runs
+// the plan's per-segment scan (widening adaptively after semantic
+// pruning), then merges every member's hits.
+func (p *pass) runVector() error {
+	e := p.e
+	live := int64(0)
+	for i := range p.ms {
+		mb := &p.ms[i]
+		if mb.err == nil {
+			// Defense in depth: the planner validates query dimension on
+			// every SQL path, but plans can also be constructed directly.
+			// A mismatch would otherwise surface as a slice-bounds panic
+			// deep inside the distance kernels.
+			mb.err = e.checkVectorDim(mb.lg)
+		}
+		if mb.err == nil {
+			live++
+		}
+	}
+	mVecQueries.Add(live)
+	switch p.strategy {
+	case plan.BruteForce:
+		mPlanBrute.Add(live)
+	case plan.PreFilter:
+		mPlanPre.Add(live)
+	case plan.PostFilter:
+		mPlanPost.Add(live)
 	}
 
 	// Unflushed rows: brute-force the memtable snapshots once — they
 	// are immune to semantic widening (never pruned) but their hits
 	// count toward k before a widening round is declared necessary.
-	var memHits []hit
-	if len(view.Mem) > 0 && lg.Range == nil {
-		memSp := root.Child("mem-scan")
-		memHits = memTopK(lg, preds, view.Mem, k)
-		memSp.SetInt("snapshots", int64(len(view.Mem)))
-		memSp.SetInt("hits", int64(len(memHits)))
+	if len(p.view.Mem) > 0 {
+		memSp := p.root.Child("mem-scan")
+		hits := 0
+		for i := range p.ms {
+			if !p.check(i) {
+				continue
+			}
+			p.ms[i].mem = memHits(&p.ms[i], p.preds, p.view.Mem)
+			hits += len(p.ms[i].mem)
+		}
+		memSp.SetInt("snapshots", int64(len(p.view.Mem)))
+		memSp.SetInt("hits", int64(hits))
 		memSp.End()
 	}
 
 	frac := e.SemanticFraction
-	round := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	for round := 0; ; round++ {
+		if err := p.ctx.Err(); err != nil {
+			return err
 		}
-		total := len(view.Segments)
-		pruneSp := root.Child("prune")
-		metas, prunedSemantically := e.pruneSegments(lg, preds, frac, view.Segments)
+		pruneSp := p.root.Child("prune")
+		metas, semantic := e.pruneSegments(p.lg, p.preds, frac, p.view.Segments)
 		pruneSp.SetInt("round", int64(round))
-		pruneSp.SetInt("segments_total", int64(total))
+		pruneSp.SetInt("segments_total", int64(len(p.view.Segments)))
 		pruneSp.SetInt("segments_kept", int64(len(metas)))
-		pruneSp.SetBool("semantic", prunedSemantically)
-		if prunedSemantically {
+		pruneSp.SetBool("semantic", semantic)
+		if semantic {
 			pruneSp.SetFloat("fraction", frac)
 		}
 		pruneSp.End()
 
-		scanSp := root.Child("scan")
-		scanSp.Set("strategy", ph.Strategy.String())
-		var hits []hit
-		var err error
-		if lg.Range != nil {
-			hits, err = e.runRange(ctx, lg, preds, metas, par, params, view.Mem, scanSp, tr)
-		} else {
-			hits, err = runStrategy(metas, scanSp)
+		scanSp := p.root.Child("scan")
+		scanSp.Set("strategy", p.strategy.String())
+		for i := range p.ms {
+			p.ms[i].hits = p.ms[i].hits[:0]
 		}
-		scanSp.SetInt("hits", int64(len(hits)))
+		err := p.scan(metas, scanSp)
+		hits := 0
+		for i := range p.ms {
+			hits += len(p.ms[i].hits)
+		}
+		scanSp.SetInt("hits", int64(hits))
 		scanSp.End()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		// Adaptive semantic widening (paper §IV-B): if pruning cost us
-		// results, re-run over more segments.
-		if prunedSemantically && len(hits)+len(memHits) < k && lg.Range == nil {
-			mWidenRounds.Inc()
-			round++
-			frac = frac * 2
-			if frac < 1 {
-				continue
-			}
-			frac = 1 // final pass over everything
-			metas, _ := e.pruneSegments(lg, preds, 0, view.Segments)
-			finalSp := root.Child("scan")
-			finalSp.Set("strategy", ph.Strategy.String())
-			finalSp.Set("widen", "final")
-			finalSp.SetInt("segments_kept", int64(len(metas)))
-			hits, err = runStrategy(metas, finalSp)
-			finalSp.SetInt("hits", int64(len(hits)))
-			finalSp.End()
-			if err != nil {
-				return nil, err
-			}
+		// Adaptive semantic widening (paper §IV-B): if pruning cost a
+		// member results, re-run over twice the segments; the round at
+		// fraction 1 searches everything.
+		if !semantic || !p.short() {
+			break
 		}
-		hits = append(hits, memHits...)
-		sortHits(hits)
-		if lg.Range == nil && len(hits) > k {
-			hits = hits[:k]
-		}
-		return e.assemble(ctx, lg, hits, par, view, root, tr)
+		mWidenRounds.Inc()
+		frac = min(frac*2, 1)
 	}
+
+	// Per-member merge: segment hits plus memtable hits, sorted by the
+	// total (dist, segment, offset) order and truncated.
+	for i := range p.ms {
+		mb := &p.ms[i]
+		if mb.err != nil {
+			continue
+		}
+		mb.hits = append(mb.hits, mb.mem...)
+		sortHits(mb.hits)
+		if mb.keep > 0 && len(mb.hits) > mb.keep {
+			mb.hits = mb.hits[:mb.keep]
+		}
+	}
+	return nil
+}
+
+// short reports whether a live top-k member found fewer than k rows.
+func (p *pass) short() bool {
+	for i := range p.ms {
+		mb := &p.ms[i]
+		if mb.err == nil && mb.lg.Range == nil && len(mb.hits)+len(mb.mem) < mb.k {
+			return true
+		}
+	}
+	return false
+}
+
+// scan runs the plan's per-segment closure over metas, appending each
+// member's candidates to its hits.
+func (p *pass) scan(metas []*storage.SegmentMeta, sp *obs.Span) error {
+	switch {
+	case p.lg.Range != nil:
+		return p.scanSegments(metas, sp, p.rangeSegment)
+	case p.strategy == plan.BruteForce:
+		return p.scanSegments(metas, sp, p.bruteForceSegment)
+	case p.strategy == plan.PreFilter && p.e.VW != nil:
+		return p.vwPreFilter(metas, sp)
+	case p.strategy == plan.PreFilter:
+		return p.scanSegments(metas, sp, p.preFilterSegment)
+	case p.strategy == plan.PostFilter:
+		return p.scanSegments(metas, sp, p.postFilterSegment)
+	}
+	return fmt.Errorf("exec: unknown strategy %v", p.strategy)
+}
+
+// searchMembers runs search for every live member against one
+// segment's shared state and emits the candidates as that member's
+// hits. A failed search fails only its member.
+func (p *pass) searchMembers(m *storage.SegmentMeta, ssp *obs.Span, emit func(int, hit), search func(*member) ([]index.Candidate, error)) {
+	n := 0
+	for i := range p.ms {
+		if !p.check(i) {
+			continue
+		}
+		cands, err := search(&p.ms[i])
+		if err != nil {
+			p.fail(i, err)
+			continue
+		}
+		for _, c := range cands {
+			emit(i, hit{meta: m, offset: int(c.ID), dist: c.Dist})
+		}
+		n += len(cands)
+	}
+	ssp.SetInt("candidates", int64(n))
 }
 
 func sortHits(hits []hit) {
@@ -426,217 +657,212 @@ func (e *Executor) InvalidateLocalIndexes() {
 	})
 }
 
+// segmentOwner picks the VW worker that serves a segment's stateful
+// scans (iterators, range searches).
+func (e *Executor) segmentOwner(m *storage.SegmentMeta) (*cluster.Worker, error) {
+	owner := e.VW.Worker(e.VW.Workers()[0])
+	for wid := range e.VW.ScheduleSegments(e.Table, []*storage.SegmentMeta{m}) {
+		owner = e.VW.Worker(wid)
+	}
+	if owner == nil {
+		return nil, fmt.Errorf("exec: no worker for segment %s", m.Name)
+	}
+	return owner, nil
+}
+
 // --- plan A: brute force -----------------------------------------------------
 
-func (e *Executor) runBruteForce(ctx context.Context, lg *plan.Logical, preds []compiledPred, metas []*storage.SegmentMeta, k, par int, sp *obs.Span, tr *obs.Trace) ([]hit, error) {
-	return e.scanSegments(ctx, metas, k, par, sp, func(ctx context.Context, m *storage.SegmentMeta, ssp *obs.Span, emit func(hit)) error {
-		ssp.SetInt("rows", int64(m.Rows))
-		mSegScans.Inc()
-		bs, err := e.predicateBitset(ctx, m, preds, tr)
-		if err != nil {
-			return err
+// bruteForceSegment reads the segment's qualifying rows' vectors once;
+// each member then scores them with the blocked kernels into its own
+// pooled top-k heap.
+func (p *pass) bruteForceSegment(ctx context.Context, m *storage.SegmentMeta, ssp *obs.Span, emit func(int, hit)) error {
+	ssp.SetInt("rows", int64(m.Rows))
+	mSegScans.Inc()
+	bs, err := p.e.predicateBitset(ctx, m, p.preds, p.tr)
+	if err != nil {
+		return err
+	}
+	s := getScratch()
+	defer putScratch(s)
+	if bs == nil {
+		for i := 0; i < m.Rows; i++ {
+			s.rows = append(s.rows, i)
 		}
-		s := getScratch()
-		defer putScratch(s)
-		if bs == nil {
-			for i := 0; i < m.Rows; i++ {
-				s.rows = append(s.rows, i)
-			}
-		} else {
-			s.rows = bs.AppendOnes(s.rows)
-		}
-		rows := s.rows
-		ssp.SetInt("filtered_rows", int64(len(rows)))
-		if len(rows) == 0 {
-			return nil
-		}
-		rd, err := e.Table.Reader(m.Name)
-		if err != nil {
-			return err
-		}
-		vcol, err := e.readRows(ctx, rd, lg.VectorColumn, rows, len(rows), tr)
-		if err != nil {
-			return err
-		}
-		// The fetched rows are compacted contiguously in vcol.Vecs, so
-		// the blocked kernels apply directly; L2 additionally abandons
-		// rows early against the running top-k worst (kept candidates
-		// are bitwise identical to a per-row scan — see internal/vec).
-		t := index.GetTopK(k)
-		defer index.PutTopK(t)
-		q := lg.Distance.Query
-		dim := vcol.Def.Dim
-		data := vcol.Vecs
-		var dists [scanBlock]float32
-		n := len(rows)
-		for base := 0; base < n; base += scanBlock {
-			br := n - base
-			if br > scanBlock {
-				br = scanBlock
-			}
-			block := data[base*dim : (base+br)*dim]
-			if lg.Metric == vec.L2 {
-				thr := float32(math.MaxFloat32)
-				if w, ok := t.Worst(); ok {
-					thr = w
-				}
-				vec.L2SquaredBatchThreshold(q, block, dim, dists[:br], thr)
-			} else {
-				vec.DistancesTo(lg.Metric, q, block, dim, dists[:br])
-			}
-			for j := 0; j < br; j++ {
-				t.Push(index.Candidate{ID: int64(rows[base+j]), Dist: dists[j]})
-			}
-		}
-		s.cands = t.AppendResults(s.cands[:0])
-		for _, c := range s.cands {
-			emit(hit{meta: m, offset: int(c.ID), dist: c.Dist})
-		}
-		ssp.SetInt("candidates", int64(len(s.cands)))
+	} else {
+		s.rows = bs.AppendOnes(s.rows)
+	}
+	rows := s.rows
+	ssp.SetInt("filtered_rows", int64(len(rows)))
+	if len(rows) == 0 {
 		return nil
+	}
+	rd, err := p.e.Table.Reader(m.Name)
+	if err != nil {
+		return err
+	}
+	vcol, err := p.e.readRows(ctx, rd, p.lg.VectorColumn, rows, len(rows), p.tr)
+	if err != nil {
+		return err
+	}
+	p.searchMembers(m, ssp, emit, func(mb *member) ([]index.Candidate, error) {
+		t := index.GetTopK(mb.k)
+		defer index.PutTopK(t)
+		scoreRows(t, mb.lg.Metric, mb.lg.Distance.Query, vcol.Vecs, vcol.Def.Dim, rows)
+		s.cands = t.AppendResults(s.cands[:0])
+		return s.cands, nil
 	})
+	return nil
+}
+
+// scoreRows pushes every row of data (rows compacted contiguously,
+// segment offsets in rows) into t, a block of scanBlock rows per kernel
+// call. L2 abandons rows early against the running top-k worst (kept
+// candidates are bitwise identical to a per-row scan — see
+// internal/vec).
+func scoreRows(t *index.TopK, metric vec.Metric, q, data []float32, dim int, rows []int) {
+	var dists [scanBlock]float32
+	for base := 0; base < len(rows); base += scanBlock {
+		br := min(len(rows)-base, scanBlock)
+		block := data[base*dim : (base+br)*dim]
+		if metric == vec.L2 {
+			thr := float32(math.MaxFloat32)
+			if w, ok := t.Worst(); ok {
+				thr = w
+			}
+			vec.L2SquaredBatchThreshold(q, block, dim, dists[:br], thr)
+		} else {
+			vec.DistancesTo(metric, q, block, dim, dists[:br])
+		}
+		for j := 0; j < br; j++ {
+			t.Push(index.Candidate{ID: int64(rows[base+j]), Dist: dists[j]})
+		}
+	}
 }
 
 // --- plan B: pre-filter --------------------------------------------------------
 
-func (e *Executor) runPreFilter(ctx context.Context, lg *plan.Logical, preds []compiledPred, metas []*storage.SegmentMeta, k, par int, params index.SearchParams, sp *obs.Span, tr *obs.Trace) ([]hit, error) {
-	if e.VW != nil {
-		// Distributed mode: the structured scan (per-segment predicate
-		// bitsets) fans out on the local pool, then the VW scatters the
-		// ANN scans across workers.
-		bitsets, err := gatherSegments(ctx, metas, par, func(ctx context.Context, _ int, m *storage.SegmentMeta) (*bitset.Bitset, error) {
-			return e.predicateBitset(ctx, m, preds, tr)
-		})
-		if err != nil {
-			return nil, err
-		}
-		filters := map[string]*bitset.Bitset{}
-		searchable := metas[:0:0]
-		for i, m := range metas {
-			if bs := bitsets[i]; bs == nil || bs.Any() {
-				filters[m.Name] = bitsets[i]
-				searchable = append(searchable, m)
-			}
-		}
-		if len(searchable) == 0 {
-			return nil, nil
-		}
-		cands, err := e.VW.Search(ctx, e.Table, searchable, lg.Distance.Query, k, cluster.SearchOptions{
-			Params: params, Filters: filters,
-			Span: sp, IdxTally: tr.IdxTally(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		byName := metaIndex(searchable)
-		out := make([]hit, len(cands))
-		for i, c := range cands {
-			out[i] = hit{meta: byName[c.Segment], offset: int(c.Offset), dist: c.Dist}
-		}
-		return out, nil
+// preFilterSegment fuses the structured scan and the ANN scan: one
+// predicate bitset and one index handle per segment, one filtered
+// search per member.
+func (p *pass) preFilterSegment(ctx context.Context, m *storage.SegmentMeta, ssp *obs.Span, emit func(int, hit)) error {
+	bs, err := p.e.predicateBitset(ctx, m, p.preds, p.tr)
+	if err != nil {
+		return err
 	}
-	// Local mode: fuse structured scan + ANN scan per segment on the
-	// worker pool.
-	return e.scanSegments(ctx, metas, k, par, sp, func(ctx context.Context, m *storage.SegmentMeta, ssp *obs.Span, emit func(hit)) error {
-		bs, err := e.predicateBitset(ctx, m, preds, tr)
-		if err != nil {
-			return err
-		}
-		if bs != nil && !bs.Any() {
-			return nil // nothing qualifies in this segment
-		}
-		ssp.SetInt("rows", int64(m.Rows))
-		mSegScans.Inc()
-		ix, err := e.segmentIndex(ctx, m, tr)
-		if err != nil {
-			return err
-		}
-		cands, err := ix.SearchWithFilter(lg.Distance.Query, k, bs, params)
-		if err != nil {
-			return err
-		}
-		for _, c := range cands {
-			emit(hit{meta: m, offset: int(c.ID), dist: c.Dist})
-		}
-		ssp.SetInt("candidates", int64(len(cands)))
-		return nil
+	if bs != nil && !bs.Any() {
+		return nil // nothing qualifies in this segment
+	}
+	ssp.SetInt("rows", int64(m.Rows))
+	mSegScans.Inc()
+	ix, err := p.e.segmentIndex(ctx, m, p.tr)
+	if err != nil {
+		return err
+	}
+	p.searchMembers(m, ssp, emit, func(mb *member) ([]index.Candidate, error) {
+		return ix.SearchWithFilter(mb.lg.Distance.Query, mb.k, bs, mb.params)
 	})
+	return nil
 }
 
-func metaIndex(metas []*storage.SegmentMeta) map[string]*storage.SegmentMeta {
-	out := make(map[string]*storage.SegmentMeta, len(metas))
-	for _, m := range metas {
-		out[m.Name] = m
+// vwPreFilter is plan B in distributed mode: the structured scan
+// (per-segment predicate bitsets) fans out on the local pool, then the
+// VW scatters each member's ANN scans across workers.
+func (p *pass) vwPreFilter(metas []*storage.SegmentMeta, sp *obs.Span) error {
+	bitsets, err := gatherSegments(p.ctx, metas, p.par, func(ctx context.Context, _ int, m *storage.SegmentMeta) (*bitset.Bitset, error) {
+		return p.e.predicateBitset(ctx, m, p.preds, p.tr)
+	})
+	if err != nil {
+		return err
 	}
-	return out
+	filters := map[string]*bitset.Bitset{}
+	byName := map[string]*storage.SegmentMeta{}
+	searchable := metas[:0:0]
+	for i, m := range metas {
+		if bs := bitsets[i]; bs == nil || bs.Any() {
+			filters[m.Name] = bs
+			byName[m.Name] = m
+			searchable = append(searchable, m)
+		}
+	}
+	if len(searchable) == 0 {
+		return nil
+	}
+	for i := range p.ms {
+		if !p.check(i) {
+			continue
+		}
+		mb := &p.ms[i]
+		cands, err := p.e.VW.Search(p.ctx, p.e.Table, searchable, mb.lg.Distance.Query, mb.k, cluster.SearchOptions{
+			Params: mb.params, Filters: filters,
+			Span: sp, IdxTally: p.tr.IdxTally(),
+		})
+		if err != nil {
+			p.fail(i, err)
+			continue
+		}
+		for _, c := range cands {
+			mb.hits = append(mb.hits, hit{meta: byName[c.Segment], offset: int(c.Offset), dist: c.Dist})
+		}
+	}
+	return nil
 }
 
 // --- plan C: post-filter --------------------------------------------------------
 
-// runPostFilter opens an incremental search per segment, filters each
-// candidate batch against the scalar predicates (reading only the
-// predicate columns of the candidate rows), and iterates until k
-// qualifying rows per segment or exhaustion — Figure 2's SearchIterator
-// + partial-top-k-before-filter pipeline. Segments run concurrently on
-// the worker pool.
-func (e *Executor) runPostFilter(ctx context.Context, lg *plan.Logical, preds []compiledPred, metas []*storage.SegmentMeta, k, par int, params index.SearchParams, sp *obs.Span, tr *obs.Trace) ([]hit, error) {
-	return e.scanSegments(ctx, metas, k, par, sp, func(ctx context.Context, m *storage.SegmentMeta, ssp *obs.Span, emit func(hit)) error {
-		ssp.SetInt("rows", int64(m.Rows))
-		mSegScans.Inc()
-		hits, err := e.postFilterSegment(ctx, lg, preds, m, k, params, ssp, tr)
+// postFilterSegment loads the segment's delete bitmap, reader and index
+// (or VW owner) once, then runs each member's incremental search.
+func (p *pass) postFilterSegment(ctx context.Context, m *storage.SegmentMeta, ssp *obs.Span, emit func(int, hit)) error {
+	ssp.SetInt("rows", int64(m.Rows))
+	mSegScans.Inc()
+	del, err := p.e.Table.DeleteBitmapCtx(ctx, m.Name)
+	if err != nil {
+		return err
+	}
+	rd, err := p.e.Table.Reader(m.Name)
+	if err != nil {
+		return err
+	}
+	var open func(mb *member) (index.Iterator, error)
+	if p.e.VW != nil {
+		// Iterators are stateful: run on the segment's assigned worker.
+		owner, err := p.e.segmentOwner(m)
 		if err != nil {
 			return err
 		}
-		for _, h := range hits {
-			emit(h)
+		ssp.Set("worker", owner.ID)
+		open = func(mb *member) (index.Iterator, error) {
+			return owner.OpenIterator(ctx, p.e.Table, m, mb.lg.Distance.Query, mb.k, mb.params)
 		}
-		ssp.SetInt("candidates", int64(len(hits)))
-		return nil
+	} else {
+		ix, err := p.e.segmentIndex(ctx, m, p.tr)
+		if err != nil {
+			return err
+		}
+		open = func(mb *member) (index.Iterator, error) {
+			return index.OpenIterator(ix, mb.lg.Distance.Query, mb.k, mb.params)
+		}
+	}
+	p.searchMembers(m, ssp, emit, func(mb *member) ([]index.Candidate, error) {
+		it, err := open(mb)
+		if err != nil {
+			return nil, err
+		}
+		defer it.Close()
+		return p.postFilter(ctx, it, del, rd, mb, ssp)
 	})
+	return nil
 }
 
-func (e *Executor) postFilterSegment(ctx context.Context, lg *plan.Logical, preds []compiledPred, m *storage.SegmentMeta, k int, params index.SearchParams, ssp *obs.Span, tr *obs.Trace) ([]hit, error) {
-	var it index.Iterator
-	var err error
-	if e.VW != nil {
-		owner := e.VW.Worker(e.VW.Workers()[0])
-		// Iterators are stateful: run on the segment's assigned worker.
-		assign := e.VW.ScheduleSegments(e.Table, []*storage.SegmentMeta{m})
-		for wid := range assign {
-			owner = e.VW.Worker(wid)
-		}
-		if owner == nil {
-			return nil, fmt.Errorf("exec: no worker for segment %s", m.Name)
-		}
-		ssp.Set("worker", owner.ID)
-		it, err = owner.OpenIterator(ctx, e.Table, m, lg.Distance.Query, k, params)
-	} else {
-		ix, ierr := e.segmentIndex(ctx, m, tr)
-		if ierr != nil {
-			return nil, ierr
-		}
-		it, err = index.OpenIterator(ix, lg.Distance.Query, k, params)
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-
-	del, err := e.Table.DeleteBitmapCtx(ctx, m.Name)
-	if err != nil {
-		return nil, err
-	}
-	rd, err := e.Table.Reader(m.Name)
-	if err != nil {
-		return nil, err
-	}
-	var out []hit
-	batch := k
-	if batch < 16 {
-		batch = 16
-	}
+// postFilter pulls candidate batches from a member's index iterator,
+// filters each batch against the scalar predicates (reading only the
+// predicate columns of the candidate rows), and iterates until k
+// qualifying rows or exhaustion — Figure 2's SearchIterator +
+// partial-top-k-before-filter pipeline.
+func (p *pass) postFilter(ctx context.Context, it index.Iterator, del *bitset.Bitset, rd *storage.SegmentReader, mb *member, ssp *obs.Span) ([]index.Candidate, error) {
+	var out []index.Candidate
+	batch := max(mb.k, 16)
 	batches := 0
-	for len(out) < k {
+	for len(out) < mb.k {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -658,32 +884,25 @@ func (e *Executor) postFilterSegment(ctx context.Context, lg *plan.Logical, pred
 			rows = append(rows, int(c.ID))
 			kept = append(kept, c)
 		}
-		if len(rows) == 0 {
-			continue
-		}
-		pass := make([]bool, len(rows))
-		for i := range pass {
-			pass[i] = true
-		}
-		for _, p := range preds {
-			col, err := e.readRows(ctx, rd, p.col, rows, len(rows), tr)
+		// Each predicate reads only the rows that passed the previous ones.
+		for _, pr := range p.preds {
+			if len(rows) == 0 {
+				break
+			}
+			col, err := p.e.readRows(ctx, rd, pr.col, rows, len(rows), p.tr)
 			if err != nil {
 				return nil, err
 			}
+			n := 0
 			for i := range rows {
-				if pass[i] && !p.eval(col, i) {
-					pass[i] = false
+				if pr.eval(col, i) {
+					rows[n], kept[n] = rows[i], kept[i]
+					n++
 				}
 			}
+			rows, kept = rows[:n], kept[:n]
 		}
-		for i, c := range kept {
-			if pass[i] {
-				out = append(out, hit{meta: m, offset: int(c.ID), dist: c.Dist})
-				if len(out) == k {
-					break
-				}
-			}
-		}
+		out = append(out, kept[:min(len(kept), mb.k-len(out))]...)
 	}
 	ssp.SetInt("batches", int64(batches))
 	return out, nil
@@ -691,53 +910,39 @@ func (e *Executor) postFilterSegment(ctx context.Context, lg *plan.Logical, pred
 
 // --- range search ---------------------------------------------------------------
 
-func (e *Executor) runRange(ctx context.Context, lg *plan.Logical, preds []compiledPred, metas []*storage.SegmentMeta, par int, params index.SearchParams, mem []*wal.MemSnapshot, sp *obs.Span, tr *obs.Trace) ([]hit, error) {
-	radius := internalRadius(lg)
-	// Range results are unbounded (k = 0): every in-radius hit must
-	// survive the merge before the final truncation.
-	all, err := e.scanSegments(ctx, metas, 0, par, sp, func(ctx context.Context, m *storage.SegmentMeta, ssp *obs.Span, emit func(hit)) error {
-		bs, err := e.predicateBitset(ctx, m, preds, tr)
-		if err != nil {
-			return err
-		}
-		if bs != nil && !bs.Any() {
-			return nil
-		}
-		ssp.SetInt("rows", int64(m.Rows))
-		mSegScans.Inc()
-		var cands []index.Candidate
-		if e.VW != nil {
-			owner := e.VW.Worker(e.ownerOf(m))
-			if owner == nil {
-				return fmt.Errorf("exec: no worker for segment %s", m.Name)
-			}
-			ssp.Set("worker", owner.ID)
-			cands, err = owner.RangeSegment(ctx, e.Table, m, lg.Distance.Query, radius, params, bs)
-		} else {
-			ix, ierr := e.segmentIndex(ctx, m, tr)
-			if ierr != nil {
-				return ierr
-			}
-			cands, err = ix.SearchWithRange(lg.Distance.Query, radius, bs, params)
-		}
-		if err != nil {
-			return err
-		}
-		for _, c := range cands {
-			emit(hit{meta: m, offset: int(c.ID), dist: c.Dist})
-		}
-		ssp.SetInt("candidates", int64(len(cands)))
-		return nil
-	})
+// rangeSegment computes one predicate bitset and index handle (or VW
+// owner) per segment, then one range search per member.
+func (p *pass) rangeSegment(ctx context.Context, m *storage.SegmentMeta, ssp *obs.Span, emit func(int, hit)) error {
+	bs, err := p.e.predicateBitset(ctx, m, p.preds, p.tr)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	all = append(all, memRange(lg, preds, mem, radius)...)
-	if lg.K > 0 && len(all) > lg.K {
-		sortHits(all)
-		all = all[:lg.K]
+	if bs != nil && !bs.Any() {
+		return nil
 	}
-	return all, nil
+	ssp.SetInt("rows", int64(m.Rows))
+	mSegScans.Inc()
+	var search func(mb *member) ([]index.Candidate, error)
+	if p.e.VW != nil {
+		owner, err := p.e.segmentOwner(m)
+		if err != nil {
+			return err
+		}
+		ssp.Set("worker", owner.ID)
+		search = func(mb *member) ([]index.Candidate, error) {
+			return owner.RangeSegment(ctx, p.e.Table, m, mb.lg.Distance.Query, mb.radius, mb.params, bs)
+		}
+	} else {
+		ix, err := p.e.segmentIndex(ctx, m, p.tr)
+		if err != nil {
+			return err
+		}
+		search = func(mb *member) ([]index.Candidate, error) {
+			return ix.SearchWithRange(mb.lg.Distance.Query, mb.radius, bs, mb.params)
+		}
+	}
+	p.searchMembers(m, ssp, emit, search)
+	return nil
 }
 
 // internalRadius translates a user-facing range radius into index
@@ -753,32 +958,52 @@ func internalRadius(lg *plan.Logical) float32 {
 	return radius
 }
 
-func (e *Executor) ownerOf(m *storage.SegmentMeta) string {
-	assign := e.VW.ScheduleSegments(e.Table, []*storage.SegmentMeta{m})
-	for wid := range assign {
-		return wid
-	}
-	return ""
-}
-
 // --- scalar-only queries ----------------------------------------------------------
 
-func (e *Executor) runScalar(ctx context.Context, lg *plan.Logical, preds []compiledPred, par int, view lsm.QueryView, tr *obs.Trace) (*Result, error) {
-	metas, _ := e.pruneSegments(lg, preds, 0, view.Segments)
-	sp := tr.Span().Child("scalar-scan")
+// runScalar finds each scalar member's rows: segments and memtable
+// snapshots filtered by the predicates, sorted by the ORDER BY column
+// and limited.
+func (p *pass) runScalar() {
+	for i := range p.ms {
+		if !p.check(i) {
+			continue
+		}
+		hits, err := p.scalarHits(p.ms[i].lg)
+		if err != nil {
+			p.fail(i, err)
+		}
+		p.ms[i].hits = hits
+	}
+}
+
+func (p *pass) scalarHits(lg *plan.Logical) ([]hit, error) {
+	e := p.e
+	metas, _ := e.pruneSegments(lg, p.preds, 0, p.view.Segments)
+	sp := p.root.Child("scalar-scan")
+	defer sp.End()
 	sp.SetInt("segments", int64(len(metas)))
-	sp.SetInt("mem_snapshots", int64(len(view.Mem)))
+	sp.SetInt("mem_snapshots", int64(len(p.view.Mem)))
 	type scalarRow struct {
 		meta   *storage.SegmentMeta
 		offset int
 		sortV  float64
 		sortS  string
 	}
+	sortKey := func(r *scalarRow, col *storage.ColumnData, i int) {
+		switch col.Def.Type {
+		case storage.Int64Type, storage.DateTimeType:
+			r.sortV = float64(col.Ints[i])
+		case storage.Float64Type:
+			r.sortV = col.Floats[i]
+		case storage.StringType:
+			r.sortS = col.Strs[i]
+		}
+	}
 	// Segments scan concurrently; the positional gather keeps segment
 	// order, so the concatenation (and therefore the stable sort and
 	// LIMIT below) matches sequential execution exactly.
-	perSeg, err := gatherSegments(ctx, metas, par, func(ctx context.Context, _ int, m *storage.SegmentMeta) ([]scalarRow, error) {
-		bs, err := e.predicateBitset(ctx, m, preds, tr)
+	perSeg, err := gatherSegments(p.ctx, metas, p.par, func(ctx context.Context, _ int, m *storage.SegmentMeta) ([]scalarRow, error) {
+		bs, err := e.predicateBitset(ctx, m, p.preds, p.tr)
 		if err != nil {
 			return nil, err
 		}
@@ -800,7 +1025,7 @@ func (e *Executor) runScalar(ctx context.Context, lg *plan.Logical, preds []comp
 			if err != nil {
 				return nil, err
 			}
-			sortCol, err = e.readRows(ctx, rd, lg.OrderColumn, offsets, len(offsets), tr)
+			sortCol, err = e.readRows(ctx, rd, lg.OrderColumn, offsets, len(offsets), p.tr)
 			if err != nil {
 				return nil, err
 			}
@@ -809,14 +1034,7 @@ func (e *Executor) runScalar(ctx context.Context, lg *plan.Logical, preds []comp
 		for i, off := range offsets {
 			r := scalarRow{meta: m, offset: off}
 			if sortCol != nil {
-				switch sortCol.Def.Type {
-				case storage.Int64Type, storage.DateTimeType:
-					r.sortV = float64(sortCol.Ints[i])
-				case storage.Float64Type:
-					r.sortV = sortCol.Floats[i]
-				case storage.StringType:
-					r.sortS = sortCol.Strs[i]
-				}
+				sortKey(&r, sortCol, i)
 			}
 			rows = append(rows, r)
 		}
@@ -832,26 +1050,19 @@ func (e *Executor) runScalar(ctx context.Context, lg *plan.Logical, preds []comp
 	// Unflushed rows from the memtable snapshots, appended after every
 	// segment's rows (their synthetic names sort last) so unordered
 	// LIMIT results stay deterministic.
-	for _, snap := range view.Mem {
+	for _, snap := range p.view.Mem {
 		mMemScans.Inc()
 		var sortCol *storage.ColumnData
 		if lg.OrderColumn != "" {
 			sortCol = snap.Col(lg.OrderColumn)
 		}
 		for row := 0; row < snap.Rows(); row++ {
-			if !snap.Alive(row) || !memPass(preds, snap, row) {
+			if !snap.Alive(row) || !memPass(p.preds, snap, row) {
 				continue
 			}
 			r := scalarRow{meta: snap.Meta, offset: row}
 			if sortCol != nil {
-				switch sortCol.Def.Type {
-				case storage.Int64Type, storage.DateTimeType:
-					r.sortV = float64(sortCol.Ints[row])
-				case storage.Float64Type:
-					r.sortV = sortCol.Floats[row]
-				case storage.StringType:
-					r.sortS = sortCol.Strs[row]
-				}
+				sortKey(&r, sortCol, row)
 			}
 			rows = append(rows, r)
 		}
@@ -873,8 +1084,7 @@ func (e *Executor) runScalar(ctx context.Context, lg *plan.Logical, preds []comp
 		hits[i] = hit{meta: r.meta, offset: r.offset, dist: float32(math.NaN())}
 	}
 	sp.SetInt("hits", int64(len(hits)))
-	sp.End()
-	return e.assemble(ctx, lg, hits, par, view, tr.Span(), tr)
+	return hits, nil
 }
 
 // --- output assembly ---------------------------------------------------------------
@@ -888,108 +1098,144 @@ func (e *Executor) readRows(ctx context.Context, rd *storage.SegmentReader, col 
 	return rd.ReadRowsCtx(ctx, col, rows)
 }
 
-// assemble fetches the projection columns for the final hits and
-// builds result rows in hit order. Column fetches fan out per segment
-// on the worker pool; memtable hits read straight from their frozen
-// snapshots.
-func (e *Executor) assemble(ctx context.Context, lg *plan.Logical, hits []hit, par int, view lsm.QueryView, sp *obs.Span, tr *obs.Trace) (*Result, error) {
-	asp := sp.Child("assemble")
-	asp.SetInt("rows", int64(len(hits)))
+// outputColumns lists a plan's result columns (SELECT * expands to the
+// schema plus the distance alias).
+func (e *Executor) outputColumns(lg *plan.Logical) []string {
+	if !lg.Star {
+		return lg.Projection
+	}
+	var cols []string
+	for _, c := range e.Table.Schema().Columns {
+		cols = append(cols, c.Name)
+	}
+	if lg.DistAlias != "" {
+		cols = append(cols, lg.DistAlias)
+	}
+	return cols
+}
+
+// assemble materializes every live member's projection. Row offsets
+// are unioned per segment and each needed column is read once per
+// segment (segments fetch concurrently on the worker pool; memtable
+// hits read straight from their frozen snapshots); members then build
+// their rows in hit order. A failed column read fails only the
+// members whose rows need it.
+func (p *pass) assemble() error {
+	asp := p.root.Child("assemble")
 	defer asp.End()
-	cols := lg.Projection
-	if lg.Star {
-		cols = nil
-		for _, c := range e.Table.Schema().Columns {
-			cols = append(cols, c.Name)
-		}
-		if lg.DistAlias != "" {
-			cols = append(cols, lg.DistAlias)
-		}
+	type segRows struct {
+		meta *storage.SegmentMeta
+		rows []int
+		cols []*storage.ColumnData // aligned with fetch
+		err  error
 	}
-	res := &Result{Columns: cols}
-	if len(hits) == 0 {
-		return res, nil
-	}
-	// Group hits by segment, fetch each needed column once per
-	// segment (concurrently across segments), then emit in global
-	// order.
-	bySeg := map[string][]int{} // segment -> indices into hits
-	var segOrder []*storage.SegmentMeta
-	for i, h := range hits {
-		if _, seen := bySeg[h.meta.Name]; !seen {
-			segOrder = append(segOrder, h.meta)
+	type rowKey struct{ seg, off int }
+	var (
+		fetch  []string // union of the members' fetched columns
+		segs   []segRows
+		segIdx = map[string]int{}
+		rowPos = map[rowKey]int{} // -> position in segs[seg].rows
+	)
+	total, queryRows := 0, 0
+	for i := range p.ms {
+		mb := &p.ms[i]
+		if mb.err != nil {
+			continue
 		}
-		bySeg[h.meta.Name] = append(bySeg[h.meta.Name], i)
-	}
-	type colKey struct{ seg, col string }
-	type segFetch struct {
-		cols map[string]*storage.ColumnData
-		pos  map[int]int // hit idx -> position in fetched rows
-	}
-	memSnaps := memSnapshotIndex(view.Mem)
-	fetches, err := gatherSegments(ctx, segOrder, par, func(ctx context.Context, _ int, m *storage.SegmentMeta) (segFetch, error) {
-		idxs := bySeg[m.Name]
-		rows := make([]int, len(idxs))
-		pos := map[int]int{}
-		for i, hi := range idxs {
-			rows[i] = hits[hi].offset
-			pos[hi] = i
-		}
-		sf := segFetch{cols: map[string]*storage.ColumnData{}, pos: pos}
-		if snap, ok := memSnaps[m.Name]; ok {
-			for _, c := range cols {
-				if c == lg.DistAlias && lg.DistAlias != "" {
-					continue
-				}
-				cd := memFetchColumn(snap, c, rows)
-				if cd == nil {
-					return segFetch{}, fmt.Errorf("%w: unknown column %q", ErrInvalidQuery, c)
-				}
-				sf.cols[c] = cd
+		mb.cols = p.e.outputColumns(mb.lg)
+		for _, c := range mb.cols {
+			if (c != mb.lg.DistAlias || c == "") && !slices.Contains(fetch, c) {
+				fetch = append(fetch, c)
 			}
-			return sf, nil
 		}
-		rd, err := e.Table.Reader(m.Name)
+		total += len(mb.hits)
+		// Cache admission sees the rows one query fetches, as solo.
+		queryRows = max(queryRows, len(mb.hits))
+		for _, h := range mb.hits {
+			si, ok := segIdx[h.meta.Name]
+			if !ok {
+				si = len(segs)
+				segIdx[h.meta.Name] = si
+				segs = append(segs, segRows{meta: h.meta})
+			}
+			key := rowKey{si, h.offset}
+			if _, ok := rowPos[key]; !ok {
+				rowPos[key] = len(segs[si].rows)
+				segs[si].rows = append(segs[si].rows, h.offset)
+			}
+		}
+	}
+	asp.SetInt("rows", int64(total))
+
+	memSnaps := memSnapshotIndex(p.view.Mem)
+	err := poolRun(p.ctx, len(segs), p.par, func(ctx context.Context, si int) error {
+		s := &segs[si]
+		s.cols = make([]*storage.ColumnData, len(fetch))
+		if snap, ok := memSnaps[s.meta.Name]; ok {
+			for ci, c := range fetch {
+				if s.cols[ci] = memFetchColumn(snap, c, s.rows); s.cols[ci] == nil && s.err == nil {
+					s.err = fmt.Errorf("%w: unknown column %q", ErrInvalidQuery, c)
+				}
+			}
+			return nil
+		}
+		rd, err := p.e.Table.Reader(s.meta.Name)
 		if err != nil {
-			return segFetch{}, err
+			s.err = err
+			return nil
 		}
-		for _, c := range cols {
-			if c == lg.DistAlias && lg.DistAlias != "" {
-				continue
+		for ci, c := range fetch {
+			if s.cols[ci], err = p.e.readRows(ctx, rd, c, s.rows, queryRows, p.tr); err != nil && s.err == nil {
+				s.err = err
 			}
-			cd, err := e.readRows(ctx, rd, c, rows, len(hits), tr)
-			if err != nil {
-				return segFetch{}, err
-			}
-			sf.cols[c] = cd
 		}
-		return sf, nil
+		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	fetched := map[colKey]*storage.ColumnData{}
-	rowPos := map[string]map[int]int{}
-	for i, m := range segOrder {
-		rowPos[m.Name] = fetches[i].pos
-		for c, cd := range fetches[i].cols {
-			fetched[colKey{m.Name, c}] = cd
+
+	var at []int // member column -> position in fetch (-1 = distance)
+	for i := range p.ms {
+		mb := &p.ms[i]
+		if mb.err != nil {
+			continue
 		}
-	}
-	for hi, h := range hits {
-		row := make([]any, len(cols))
-		for ci, c := range cols {
-			if c == lg.DistAlias && lg.DistAlias != "" {
-				row[ci] = outputDistance(lg.Metric, h.dist)
-				continue
+		cols := mb.cols
+		at = at[:0]
+		for _, c := range cols {
+			if c == mb.lg.DistAlias && c != "" {
+				at = append(at, -1)
+			} else {
+				at = append(at, slices.Index(fetch, c))
 			}
-			cd := fetched[colKey{h.meta.Name, c}]
-			p := rowPos[h.meta.Name][hi]
-			row[ci] = columnValue(cd, p)
 		}
-		res.Rows = append(res.Rows, row)
+		res := &Result{Columns: cols}
+		if len(mb.hits) > 0 {
+			res.Rows = make([][]any, len(mb.hits))
+		}
+		vals := make([]any, len(mb.hits)*len(cols))
+	build:
+		for hi, h := range mb.hits {
+			si := segIdx[h.meta.Name]
+			s := &segs[si]
+			row := vals[hi*len(cols) : (hi+1)*len(cols) : (hi+1)*len(cols)]
+			for ci, fi := range at {
+				switch {
+				case fi < 0:
+					row[ci] = outputDistance(mb.lg.Metric, h.dist)
+				case s.cols[fi] == nil:
+					mb.err = s.err
+					break build
+				default:
+					row[ci] = columnValue(s.cols[fi], rowPos[rowKey{si, h.offset}])
+				}
+			}
+			res.Rows[hi] = row
+		}
+		mb.res = res
 	}
-	return res, nil
+	return nil
 }
 
 // outputDistance converts internal index distances to user-facing

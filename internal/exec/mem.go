@@ -3,7 +3,6 @@ package exec
 import (
 	"blendhouse/internal/index"
 	"blendhouse/internal/obs"
-	"blendhouse/internal/plan"
 	"blendhouse/internal/storage"
 	"blendhouse/internal/vec"
 	"blendhouse/internal/wal"
@@ -32,54 +31,37 @@ func memPass(preds []compiledPred, snap *wal.MemSnapshot, row int) bool {
 	return true
 }
 
-// memTopK brute-force scans the snapshots for the k nearest
-// qualifying rows (internal-space distances, like every segment
-// candidate source).
-func memTopK(lg *plan.Logical, preds []compiledPred, snaps []*wal.MemSnapshot, k int) []hit {
+// memHits brute-force scans the snapshots for one member: each
+// snapshot's k nearest qualifying rows, or for a range query every
+// qualifying row within the radius (internal-space distances, like
+// every segment candidate source).
+func memHits(mb *member, preds []compiledPred, snaps []*wal.MemSnapshot) []hit {
 	var out []hit
-	t := index.GetTopK(k)
+	t := index.GetTopK(mb.k)
 	defer index.PutTopK(t)
 	s := getScratch()
 	defer putScratch(s)
 	for _, snap := range snaps {
-		vcol := snap.Col(lg.VectorColumn)
+		vcol := snap.Col(mb.lg.VectorColumn)
 		if vcol == nil {
 			continue
 		}
 		mMemScans.Inc()
-		t.Reset(k)
+		t.Reset(mb.k)
 		for row := 0; row < snap.Rows(); row++ {
 			if !snap.Alive(row) || !memPass(preds, snap, row) {
 				continue
 			}
-			d := vec.Distance(lg.Metric, lg.Distance.Query, vcol.Vector(row))
-			t.Push(index.Candidate{ID: int64(row), Dist: d})
+			d := vec.Distance(mb.lg.Metric, mb.lg.Distance.Query, vcol.Vector(row))
+			if mb.lg.Range == nil {
+				t.Push(index.Candidate{ID: int64(row), Dist: d})
+			} else if d <= mb.radius {
+				out = append(out, hit{meta: snap.Meta, offset: row, dist: d})
+			}
 		}
 		s.cands = t.AppendResults(s.cands[:0])
 		for _, c := range s.cands {
 			out = append(out, hit{meta: snap.Meta, offset: int(c.ID), dist: c.Dist})
-		}
-	}
-	return out
-}
-
-// memRange returns every qualifying snapshot row within the internal-
-// space radius.
-func memRange(lg *plan.Logical, preds []compiledPred, snaps []*wal.MemSnapshot, radius float32) []hit {
-	var out []hit
-	for _, snap := range snaps {
-		vcol := snap.Col(lg.VectorColumn)
-		if vcol == nil {
-			continue
-		}
-		mMemScans.Inc()
-		for row := 0; row < snap.Rows(); row++ {
-			if !snap.Alive(row) || !memPass(preds, snap, row) {
-				continue
-			}
-			if d := vec.Distance(lg.Metric, lg.Distance.Query, vcol.Vector(row)); d <= radius {
-				out = append(out, hit{meta: snap.Meta, offset: row, dist: d})
-			}
 		}
 	}
 	return out

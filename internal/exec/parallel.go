@@ -16,11 +16,11 @@ import (
 // hybrid query fans out over many immutable segments). Per-segment
 // work runs on a bounded pool of goroutines sized by the effective
 // parallelism; results are gathered either positionally (scalar scans,
-// assembly) or through per-goroutine top-k heaps merged at the barrier
-// (vector scans). Both gathers are deterministic: positional results
-// keep segment order, and heap merges are re-sorted by the full
-// (dist, segment, offset) order, so a query returns byte-identical
-// results at any parallelism degree.
+// assembly) or through per-goroutine, per-member top-k heaps merged at
+// the barrier (vector scans). Both gathers are deterministic:
+// positional results keep segment order, and heap merges are re-sorted
+// by the full (dist, segment, offset) order, so a query returns
+// byte-identical results at any parallelism degree.
 
 // parallelism resolves the effective fan-out degree: per-query
 // override, then the executor default, then GOMAXPROCS.
@@ -141,42 +141,46 @@ func gatherSegments[T any](ctx context.Context, metas []*storage.SegmentMeta, pa
 	return out, nil
 }
 
-// scanSegments runs a hit-producing scan over each segment on the
-// worker pool. Each scan emits hits through a callback bound to its
-// goroutine's bounded top-k heap (k <= 0 keeps everything, for range
-// scans) — hits never materialize as a per-segment slice, which is
-// what lets the scans run on pooled scratch buffers. The heaps are
-// concatenated at the barrier and the caller re-sorts with the full
-// deterministic order. Every segment gets its own child span under sp,
-// created inside its goroutine, so EXPLAIN ANALYZE keeps working under
-// concurrency; sp is annotated with the parallelism degree and the
-// per-segment wall overlap (sum of segment spans / elapsed wall).
-func (e *Executor) scanSegments(ctx context.Context, metas []*storage.SegmentMeta, k, par int, sp *obs.Span, fn func(ctx context.Context, m *storage.SegmentMeta, ssp *obs.Span, emit func(hit)) error) ([]hit, error) {
-	if par > len(metas) {
-		par = len(metas)
-	}
-	if par < 1 {
-		par = 1
-	}
+// segmentFunc is a plan shape's per-segment closure: it computes the
+// segment's shared state once, then emits each member's hits through
+// emit(member, hit).
+type segmentFunc func(ctx context.Context, m *storage.SegmentMeta, ssp *obs.Span, emit func(int, hit)) error
+
+// scanSegments runs a plan shape's per-segment closure over each
+// segment on the worker pool. Every goroutine keeps one bounded top-k
+// heap per member (bounded by the member's keep; 0 keeps everything)
+// — hits never materialize as a per-segment slice, which is what lets
+// the scans run on pooled scratch buffers. The heaps are appended to
+// each member's hits at the barrier and the merge re-sorts with the
+// full deterministic order. Every segment gets its own child span under
+// sp, created inside its goroutine, so EXPLAIN ANALYZE keeps working
+// under concurrency; sp is annotated with the parallelism degree and
+// the per-segment wall overlap (sum of segment spans / elapsed wall).
+func (p *pass) scanSegments(metas []*storage.SegmentMeta, sp *obs.Span, fn segmentFunc) error {
+	par := max(min(p.par, len(metas)), 1)
+	n := len(p.ms)
 	start := obs.Now()
-	heaps := make([]hitHeap, par)
+	heaps := make([]hitHeap, par*n) // goroutine g, member i -> heaps[g*n+i]
 	var segWall atomic.Int64
 	slot := make(chan int, par)
 	for g := 0; g < par; g++ {
 		slot <- g
 	}
-	err := poolRun(ctx, len(metas), par, func(ctx context.Context, i int) error {
+	err := poolRun(p.ctx, len(metas), par, func(ctx context.Context, i int) error {
+		if !p.anyLive() {
+			return nil // every member failed: skip the shared work
+		}
 		g := <-slot
 		defer func() { slot <- g }()
 		m := metas[i]
-		emit := func(h hit) { heaps[g].push(h, k) }
+		emit := func(mi int, h hit) { heaps[g*n+mi].push(h, p.ms[mi].keep) }
 		ssp := sp.Child("segment " + m.Name)
 		segStart := obs.Now()
 		err := fn(ctx, m, ssp, emit)
 		ssp.End()
 		segWall.Add(int64(ssp.Duration()))
-		if e.Stats != nil {
-			e.Stats.SegLatency.Observe(time.Since(segStart).Seconds())
+		if p.e.Stats != nil {
+			p.e.Stats.SegLatency.Observe(time.Since(segStart).Seconds())
 		}
 		return err
 	})
@@ -187,13 +191,14 @@ func (e *Executor) scanSegments(ctx context.Context, metas []*storage.SegmentMet
 		}
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var all []hit
-	for g := range heaps {
-		all = append(all, heaps[g].hits...)
+	for i := range p.ms {
+		for g := 0; g < par; g++ {
+			p.ms[i].hits = append(p.ms[i].hits, heaps[g*n+i].hits...)
+		}
 	}
-	return all, nil
+	return nil
 }
 
 // hitWorse reports whether a ranks strictly after b in the

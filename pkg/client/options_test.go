@@ -49,34 +49,6 @@ func TestFunctionalOptions(t *testing.T) {
 	}
 }
 
-// TestQueryWithShimEquivalence: the deprecated struct shim and the
-// functional options produce identical wire requests.
-func TestQueryWithShimEquivalence(t *testing.T) {
-	var reqs []api.QueryRequest
-	srv, _ := fakeServer(t, func(w http.ResponseWriter) { respondResult(w) })
-	defer srv.Close()
-	srv.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var q api.QueryRequest
-		_ = json.NewDecoder(r.Body).Decode(&q)
-		reqs = append(reqs, q)
-		respondResult(w)
-	})
-
-	c := newTestClient(t, srv.URL, 0)
-	if _, err := c.QueryWith(context.Background(), "SELECT 1", Options{
-		Timeout: time.Second, MaxParallelism: 2,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Query(context.Background(), "SELECT 1",
-		WithTimeout(time.Second), WithMaxParallelism(2)); err != nil {
-		t.Fatal(err)
-	}
-	if len(reqs) != 2 || reqs[0] != reqs[1] {
-		t.Fatalf("shim and functional options diverged: %+v", reqs)
-	}
-}
-
 // respondResult writes a minimal OK result body.
 func respondResult(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "application/json")
